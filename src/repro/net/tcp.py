@@ -56,6 +56,14 @@ class _PeerLink:
         self._writer: Optional[asyncio.StreamWriter] = None
         self._sender_task: Optional["asyncio.Task[None]"] = None
         self._closing = False
+        # Per-frame series, bound once per endpoint.
+        label = str(endpoint)
+        self._frames_sent = transport.metrics.bind_counter(
+            names.NET_FRAMES_SENT, endpoint=label
+        )
+        self._bytes_sent = transport.metrics.bind_counter(
+            names.NET_BYTES_SENT, endpoint=label
+        )
 
     # ------------------------------------------------------------------
     async def enqueue(self, frame: bytes) -> None:
@@ -79,10 +87,8 @@ class _PeerLink:
                     writer = await self._connect()
                     writer.write(frame)
                     await writer.drain()
-                    metrics.incr(names.NET_FRAMES_SENT, endpoint=str(self.endpoint))
-                    metrics.incr(
-                        names.NET_BYTES_SENT, len(frame), endpoint=str(self.endpoint)
-                    )
+                    self._frames_sent.incr()
+                    self._bytes_sent.incr(len(frame))
                     break
                 except (ConnectionError, OSError):
                     # The peer is down or restarting: drop the dead

@@ -16,7 +16,8 @@ Two roles, both reconstructed from one
   (``spec.collectors``, each on its reserved address) and drives the
   clock: one tick per worker per period, a wall-clock period window, a
   bounded settle, then per-shard period scoring merged into
-  cluster-wide samples -- the multi-process analogue of
+  cluster-wide samples and the period's pacing record (overrun,
+  missed) -- the multi-process analogue of
   :meth:`repro.runtime.engine.MonitoringRuntime.run_async`.
 
 On stop each process dumps its full metrics registry to a JSON report
@@ -222,6 +223,7 @@ class CollectorRuntime:
         await self._await_go()
         try:
             for period in range(self.spec.periods):
+                period_started = time.monotonic()
                 # The clock owner mints one trace per period and stamps
                 # its context on every tick: each worker's agent waves
                 # join this trace with the period root span (recorded
@@ -252,9 +254,12 @@ class CollectorRuntime:
                             lane=names.LANE_ENGINE,
                             period=period,
                         ):
-                            await self._settle()
+                            missed = await self._settle()
                         for agent in self.collectors.values():
                             agent.close_period(period)
+                self.metrics.record_pacing(
+                    time.monotonic() - period_started, self.config.period_seconds, missed
+                )
             for rank in range(self.spec.workers):
                 await self.transport.send(control_address(rank), StopEnvelope())
             for address in self.collectors:
@@ -328,19 +333,23 @@ class CollectorRuntime:
                 return
             await asyncio.sleep(0.02)
 
-    async def _settle(self) -> None:
+    async def _settle(self) -> bool:
         """Let straggler frames land before scoring, bounded in time.
 
         The collector cannot see other processes' in-flight work the
         way the single-process engine can, so this settles on the local
         signal available -- its own transport going idle -- and bounds
-        the wait by one extra period.
+        the wait by one extra period.  Returns whether the period was
+        missed: its window ended with frames still in flight.
         """
         deadline = time.monotonic() + self.config.period_seconds
+        missed = False
         while time.monotonic() < deadline:
             if self.transport.idle():
-                return
+                return missed
+            missed = True
             await asyncio.sleep(0.005)
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,16 @@ Higher layers read the registry two ways:
   the full-resolution view behind the Prometheus exporter
   (:func:`repro.obs.export.prometheus_text`).
 
+Hot paths bind a series once instead of naming it on every call:
+:meth:`MetricsRegistry.bind_counter` returns a :class:`BoundCounter`
+holding the canonical series key, and
+:meth:`MetricsRegistry.bind_histogram` returns the series'
+:class:`Histogram` itself (Prometheus-client ``.labels()`` child
+caching).  Both routes write the very same series.  A series exists
+once it is written -- a counter on its first bump, a histogram on its
+first observation -- so binding alone never changes what any view
+reports.
+
 A module-level *default registry* carries recordings from code that is
 not handed an explicit registry (the planner's search counters, the
 simulator's tallies).  The CLI swaps in a fresh one per invocation via
@@ -210,6 +220,23 @@ class Histogram:
         self._sketching = True
 
 
+class BoundCounter:
+    """One counter series, bound once: :meth:`incr` skips rebuilding the
+    label key.  The series appears on the first bump, exactly as it
+    would through :meth:`MetricsRegistry.incr`."""
+
+    __slots__ = ("_series", "key")
+
+    def __init__(self, series: Dict[MetricKey, float], key: MetricKey) -> None:
+        self._series = series
+        self.key = key
+
+    def incr(self, amount: Number = 1) -> None:
+        series = self._series
+        key = self.key
+        series[key] = series.get(key, 0.0) + float(amount)
+
+
 class MetricsRegistry:
     """Named counters, gauges, and histograms with label support."""
 
@@ -228,6 +255,15 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float, **labels: object) -> None:
         self.histogram(name, **labels).observe(value)
+
+    # -- binding (hot paths) -------------------------------------------
+    def bind_counter(self, name: str, **labels: object) -> BoundCounter:
+        """A handle bumping the series ``name{labels}``."""
+        return BoundCounter(self._counters, (name, labels_key(labels)))
+
+    def bind_histogram(self, name: str, **labels: object) -> Histogram:
+        """The histogram of the series ``name{labels}``, to observe into."""
+        return self.histogram(name, **labels)
 
     # -- reading -------------------------------------------------------
     def counter(self, name: str, **labels: object) -> float:
@@ -265,8 +301,16 @@ class MetricsRegistry:
     def histograms(self) -> Dict[str, Histogram]:
         return {
             format_series(name, labels): hist
-            for (name, labels), hist in sorted(self._histograms.items())
+            for (name, labels), hist in self._observed_histograms()
         }
+
+    def _observed_histograms(self) -> List[Tuple[MetricKey, Histogram]]:
+        """Histogram series that hold an observation, in key order (a
+        bound or read-created histogram is not a series until then)."""
+        return sorted(
+            ((key, hist) for key, hist in self._histograms.items() if hist.count),
+            key=lambda item: item[0],
+        )
 
     def counter_totals(self) -> Dict[str, float]:
         """Counters aggregated to base names (the compact report view)."""
@@ -291,7 +335,7 @@ class MetricsRegistry:
             yield "counter", key
         for key in sorted(self._gauges):
             yield "gauge", key
-        for key in sorted(self._histograms):
+        for key, _hist in self._observed_histograms():
             yield "histogram", key
 
     def as_dict(self) -> Dict[str, object]:
@@ -323,7 +367,7 @@ class MetricsRegistry:
             ],
             "histograms": [
                 [name, [list(item) for item in labels], hist.dump()]
-                for (name, labels), hist in sorted(self._histograms.items())
+                for (name, labels), hist in self._observed_histograms()
             ],
         }
 

@@ -44,6 +44,9 @@ CHILD_WAIT_TIMEOUTS = "child_wait_timeouts"
 VALUES_TRIMMED = "values_trimmed"
 VALUES_DEFERRED = "values_deferred"
 AGENT_DOWN_PERIODS = "agent_down_periods"
+# Periods whose window ended with a wave still outstanding (the clock
+# owner's settle found a busy agent or a non-idle transport).
+RUNTIME_PERIODS_MISSED = "runtime_periods_missed"
 FAILURE_DETECTIONS = "failure_detections"
 FAILURE_RECOVERIES = "failure_recoveries"
 
@@ -72,6 +75,8 @@ COLLECTION_LATENCY_S = "collection_latency_s"
 STALENESS_PERIODS = "staleness_periods"
 PERIOD_COVERAGE = "period_coverage"
 PAYLOAD_VALUES = "payload_values"
+# Tick-to-tick wall seconds beyond ``period_seconds``, floored at 0.
+RUNTIME_PERIOD_OVERRUN_SECONDS = "runtime_period_overrun_seconds"
 NET_DIAL_LATENCY_S = "net_dial_latency_s"
 
 # Planner search counters (PlanningStats reads the same names back).
@@ -128,6 +133,7 @@ METRICS = frozenset(
         VALUES_TRIMMED,
         VALUES_DEFERRED,
         AGENT_DOWN_PERIODS,
+        RUNTIME_PERIODS_MISSED,
         FAILURE_DETECTIONS,
         FAILURE_RECOVERIES,
         TRANSPORT_ENVELOPES_SENT,
@@ -144,6 +150,7 @@ METRICS = frozenset(
         STALENESS_PERIODS,
         PERIOD_COVERAGE,
         PAYLOAD_VALUES,
+        RUNTIME_PERIOD_OVERRUN_SECONDS,
         NET_DIAL_LATENCY_S,
         PLANNER_ITERATIONS_TOTAL,
         PLANNER_CANDIDATES_RANKED_TOTAL,

@@ -280,6 +280,9 @@ class _NullSpan:
     def set(self, **attrs: object) -> None:
         return None
 
+    def end(self) -> None:
+        return None
+
     def context(self) -> Optional[TraceContext]:
         return current_context()
 
@@ -330,18 +333,28 @@ class _LiveSpan:
         self._attrs = attrs
         self._lane = lane
 
-    def __enter__(self) -> "_LiveSpan":
-        self._parent_id = _CURRENT_SPAN.get()
-        self._trace_id = _CURRENT_TRACE.get()
+    def _open(self, parent: Optional[TraceContext]) -> None:
+        if parent is None:
+            self._parent_id = _CURRENT_SPAN.get()
+            self._trace_id = _CURRENT_TRACE.get()
+        else:
+            self._parent_id = parent.span_id or None
+            self._trace_id = parent.trace_id
         self._span_id = self._tracer.next_id()
-        self._token = _CURRENT_SPAN.set(self._span_id)
         self._start = time.perf_counter()
+
+    def __enter__(self) -> "_LiveSpan":
+        self._open(None)
+        self._token = _CURRENT_SPAN.set(self._span_id)
         return self
 
     def __exit__(self, *exc: object) -> None:
-        end = time.perf_counter()
-        self.elapsed = end - self._start
         _CURRENT_SPAN.reset(self._token)
+        self.end()
+
+    def end(self) -> None:
+        """Close the span and record it (a :func:`begin` span's exit)."""
+        self.elapsed = time.perf_counter() - self._start
         self._tracer.record(
             Span(
                 name=self._name,
@@ -374,6 +387,10 @@ class _LiveSpan:
 #: ``elapsed`` (seconds, after exit) and ``set(**attrs)``.
 SpanHandle = Union["_NullSpan", "_PlainTimer", "_LiveSpan"]
 
+#: What :func:`begin` returns: ``set``/``context``/``end`` on a span
+#: that was never entered.
+OpenSpan = Union["_NullSpan", "_LiveSpan"]
+
 
 def span(name: str, lane: Optional[str] = None, **attrs: object) -> SpanHandle:
     """A timed region; a shared no-op unless a tracer is installed.
@@ -393,6 +410,29 @@ def timer(name: str, lane: Optional[str] = None, **attrs: object) -> SpanHandle:
     if tracer is None:
         return _PlainTimer()
     return _LiveSpan(tracer, name, attrs, lane)
+
+
+def begin(
+    name: str,
+    lane: Optional[str] = None,
+    parent: Optional[TraceContext] = None,
+    **attrs: object,
+) -> OpenSpan:
+    """Open a span that is *not* made current; close it with ``end()``.
+
+    For regions that overlap inside one coroutine -- a node agent's
+    per-tree waves all start at the tick and end as each tree's batch
+    goes out -- where nested ``with`` blocks cannot express the
+    lifetimes.  The parent is ``parent`` when given, else the current
+    span; nothing recorded while the span is open becomes its child
+    unless it names it as ``parent``.
+    """
+    tracer = _TRACER
+    if tracer is None:
+        return _NULL_SPAN
+    live = _LiveSpan(tracer, name, attrs, lane)
+    live._open(parent)
+    return live
 
 
 def event(name: str, lane: Optional[str] = None, **attrs: object) -> None:

@@ -8,6 +8,13 @@ forward one batched message per tree per period -- phased bottom-up
 (deeper nodes send earlier) so the wave converges toward the root the
 same way the simulator schedules it.
 
+Each tick starts exactly one task per agent: it sends the heartbeat,
+then each role's batch as soon as that role's children have reported,
+and sends every role still waiting when the child-wait deadline
+passes.  Metric series are bound once per agent (per node, and per
+tree for ``messages_sent``), so the per-message path bumps a handle
+instead of rebuilding a label key.
+
 Resource-awareness is enforced live: every send and receive is charged
 ``C + a*x`` against the node's per-period budget, and an agent that
 cannot afford its payload applies the configured
@@ -16,18 +23,22 @@ message, or defer the overflow to the next period (backpressure).
 """
 
 # The bottom-up wave is event-driven rather than timer-phased: an
-# interior node sends the moment every child has reported this period,
+# interior role sends the moment every child has reported this period,
 # falling back to the ``child_wait`` deadline when one is dead or
 # dropped.  Timer phasing (the simulator's approach) is fragile under a
 # real event loop -- an overdue timer can fire before the inbox
 # coroutine that would have delivered a child's already-queued batch.
+# All of an agent's roles wait in its one per-tick task, on the single
+# ``_update_event`` the inbox loop sets: a task per role, or a
+# ``wait_for`` helper task per wakeup, costs more CPU than the relaying
+# it schedules.
 
 from __future__ import annotations
 
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Coroutine, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cluster.metrics import MetricRegistry
 from repro.core.attributes import NodeAttributePair, NodeId
@@ -43,11 +54,15 @@ from repro.runtime.messages import (
     TickEnvelope,
     UpdateEnvelope,
 )
-from repro.runtime.metrics import RuntimeMetrics
+from repro.runtime.metrics import BoundCounter, Histogram, RuntimeMetrics
 from repro.runtime.transport import Transport
 from repro.simulation.messages import Reading
 
 _EPS = 1e-9
+
+#: An interior role waiting for its children: (role, wave span,
+#: child-wait span).
+_Waiting = Tuple["TreeRole", trace.OpenSpan, trace.OpenSpan]
 
 
 @dataclass(frozen=True)
@@ -108,10 +123,39 @@ class NodeAgent:
         self._period_tasks: Set["asyncio.Task[None]"] = set()
         #: Trace-viewer row for this agent's spans.
         self._lane = names.node_lane(node_id)
+        #: Collector shards this node beacons every heartbeat period.
+        self._heartbeat_to = sorted({role.collector for role in self.roles}) or [
+            COLLECTOR_ADDRESS
+        ]
+        self._bind_metrics()
+
+    def _bind_metrics(self) -> None:
+        """Bind this node's series once; the hot path bumps handles."""
+        def bind(name: str) -> BoundCounter:
+            return self.metrics.bind_counter(name, node=self.node_id)
+
+        self._sent: Dict[AttributeSet, BoundCounter] = {
+            role.attr_set: self.metrics.bind_counter(
+                names.MESSAGES_SENT, node=self.node_id, tree=role.tree_id
+            )
+            for role in self.roles
+        }
+        self._delivered = bind(names.MESSAGES_DELIVERED)
+        self._cost_spent = bind(names.COST_UNITS_SPENT)
+        self._heartbeats = bind(names.HEARTBEATS_SENT)
+        self._child_wait_timeouts = bind(names.CHILD_WAIT_TIMEOUTS)
+        self._dropped_capacity = bind(names.MESSAGES_DROPPED_CAPACITY)
+        self._dropped_failure = bind(names.MESSAGES_DROPPED_FAILURE)
+        self._down_periods = bind(names.AGENT_DOWN_PERIODS)
+        self._values_trimmed = bind(names.VALUES_TRIMMED)
+        self._values_deferred = bind(names.VALUES_DEFERRED)
+        self._payload_values: Histogram = self.metrics.bind_histogram(
+            names.PAYLOAD_VALUES
+        )
 
     # ------------------------------------------------------------------
     def busy(self) -> bool:
-        """Whether any per-period send task is still outstanding."""
+        """Whether any per-tick wave task is still outstanding."""
         return any(not task.done() for task in self._period_tasks)
 
     def down(self, period: int) -> bool:
@@ -156,17 +200,15 @@ class NodeAgent:
         self._budget = self.capacity
         self._period_tasks = {task for task in self._period_tasks if not task.done()}
         if self.down(tick.period):
-            self.metrics.incr(names.AGENT_DOWN_PERIODS, node=self.node_id)
+            self._down_periods.incr()
             return
         # Adopt the tick's trace context while spawning: asyncio tasks
-        # snapshot contextvars at creation, so every wave spawned here
-        # records spans inside the period's trace with the (possibly
-        # remote) period root span as parent.
+        # snapshot contextvars at creation, so the wave task records
+        # spans inside the period's trace with the (possibly remote)
+        # period root span as parent.
         with trace.attach(tick.trace_ctx):
-            if tick.period % self.config.heartbeat_every == 0:
-                self._spawn(self._send_heartbeat(tick.period))
-            for role in self.roles:
-                self._spawn(self._send_update(role, tick.period))
+            task = asyncio.ensure_future(self._wave(tick.period))
+        self._period_tasks.add(task)
 
     def _on_update(self, envelope: UpdateEnvelope) -> None:
         if envelope.trace_ctx is not None and trace.active_tracer() is not None:
@@ -180,7 +222,7 @@ class NodeAgent:
                     period=envelope.period,
                 )
         if self.down(self._current_period):
-            self.metrics.incr(names.MESSAGES_DROPPED_FAILURE, node=self.node_id)
+            self._dropped_failure.incr()
             return
         # The child reported, whether or not its batch is affordable --
         # record that first so a capacity drop cannot stall the wave.
@@ -191,38 +233,89 @@ class NodeAgent:
         charge = envelope.cost(self.cost)
         if self.config.enforce_capacity:
             if self._budget < charge - _EPS:
-                self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
+                self._dropped_capacity.incr()
                 return
             self._budget -= charge
         envelope.merge_into(self._buffers.setdefault(envelope.tree, {}))
-        self.metrics.incr(names.MESSAGES_DELIVERED, node=self.node_id)
-        self.metrics.incr(names.COST_UNITS_SPENT, charge, node=self.node_id)
+        self._delivered.incr()
+        self._cost_spent.incr(charge)
 
     # ------------------------------------------------------------------
     # Per-period work
     # ------------------------------------------------------------------
-    def _spawn(self, coro: Coroutine[object, object, None]) -> None:
-        task = asyncio.ensure_future(coro)
-        self._period_tasks.add(task)
+    async def _wave(self, period: int) -> None:
+        """The agent's whole period: heartbeat, then one batch per role.
+
+        Leaf roles send at once; interior roles send the moment their
+        children have all reported, waiting on the one update event
+        against a single child-wait deadline.  When the deadline passes
+        every role still waiting is sent without the missing children,
+        counting one ``child_wait_timeouts`` per such role.
+        """
+        deadline = time.monotonic() + self.config.child_wait_seconds
+        if period % self.config.heartbeat_every == 0:
+            await self._send_heartbeat(period)
+        waiting: List[_Waiting] = []
+        for role in self.roles:
+            wave = trace.begin(
+                names.SPAN_AGENT_WAVE, lane=self._lane, tree=role.tree_id, period=period
+            )
+            if not role.children:
+                await self._send_update(role, period, wave)
+                continue
+            child_wait = trace.begin(
+                names.SPAN_AGENT_CHILD_WAIT,
+                lane=self._lane,
+                parent=wave.context(),
+                tree=role.tree_id,
+                period=period,
+            )
+            waiting.extend(await self._send_ready([(role, wave, child_wait)], period))
+        event = self._update_event
+        while waiting and event is not None:
+            # Clear before re-checking, so an update landing after the
+            # check still wakes the wait below.
+            event.clear()
+            waiting = await self._send_ready(waiting, period)
+            remaining = deadline - time.monotonic()
+            if not waiting or remaining <= 0:
+                break
+            try:
+                async with asyncio.timeout(remaining):
+                    await event.wait()
+            except TimeoutError:
+                break
+        for role, wave, child_wait in waiting:
+            self._child_wait_timeouts.incr()
+            child_wait.end()
+            await self._send_update(role, period, wave)
+
+    async def _send_ready(self, waiting: List[_Waiting], period: int) -> List[_Waiting]:
+        """Send every waiting role whose children have all reported;
+        returns the roles still waiting, in order."""
+        still: List[_Waiting] = []
+        for entry in waiting:
+            role, wave, child_wait = entry
+            if self._children_ready(role, period):
+                child_wait.end()
+                await self._send_update(role, period, wave)
+            else:
+                still.append(entry)
+        return still
 
     async def _send_heartbeat(self, period: int) -> None:
         # With sharded collectors, each shard runs its own failure
         # detector over the nodes in its trees -- beacon every shard
         # this node reports to (the single-collector case sends one).
-        collectors = sorted({role.collector for role in self.roles}) or [
-            COLLECTOR_ADDRESS
-        ]
-        for collector in collectors:
+        for collector in self._heartbeat_to:
             await self.transport.send(
                 collector, HeartbeatEnvelope(sender=self.node_id, period=period)
             )
-            self.metrics.incr(names.HEARTBEATS_SENT, node=self.node_id)
+            self._heartbeats.incr()
 
-    async def _send_update(self, role: TreeRole, period: int) -> None:
-        with trace.span(
-            names.SPAN_AGENT_WAVE, lane=self._lane, tree=role.tree_id, period=period
-        ) as wave:
-            await self._await_children(role, period)
+    async def _send_update(self, role: TreeRole, period: int, wave: trace.OpenSpan) -> None:
+        """Build, shape and send ``role``'s batch, closing its wave span."""
+        try:
             payload: Dict[NodeAttributePair, Reading] = {}
             buffered = self._buffers.pop(role.attr_set, None)
             if buffered:
@@ -241,9 +334,9 @@ class NodeAgent:
             charge = self.cost.message_cost(len(shaped))
             if self.config.enforce_capacity:
                 self._budget -= charge
-            self.metrics.incr(names.MESSAGES_SENT, node=self.node_id, tree=role.tree_id)
-            self.metrics.incr(names.COST_UNITS_SPENT, charge, node=self.node_id)
-            self.metrics.observe(names.PAYLOAD_VALUES, len(shaped))
+            self._sent[role.attr_set].incr()
+            self._cost_spent.incr(charge)
+            self._payload_values.observe(len(shaped))
             wave.set(outcome="sent", values=len(shaped))
             await self.transport.send(
                 role.receiver,
@@ -255,33 +348,12 @@ class NodeAgent:
                     trace_ctx=wave.context(),
                 ),
             )
+        finally:
+            wave.end()
 
     def _children_ready(self, role: TreeRole, period: int) -> bool:
         seen = self._children_seen.get(role.attr_set, {})
         return all(seen.get(child, -1) >= period for child in role.children)
-
-    async def _await_children(self, role: TreeRole, period: int) -> None:
-        """Block until every child has reported ``period``'s batch for
-        this tree, or the child-wait deadline passes."""
-        if not role.children:
-            return
-        with trace.span(
-            names.SPAN_AGENT_CHILD_WAIT, lane=self._lane, tree=role.tree_id, period=period
-        ):
-            deadline = time.monotonic() + self.config.child_wait_seconds
-            while not self._children_ready(role, period):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._update_event is None:
-                    self.metrics.incr(names.CHILD_WAIT_TIMEOUTS, node=self.node_id)
-                    return
-                self._update_event.clear()
-                if self._children_ready(role, period):
-                    return
-                try:
-                    await asyncio.wait_for(self._update_event.wait(), timeout=remaining)
-                except asyncio.TimeoutError:
-                    self.metrics.incr(names.CHILD_WAIT_TIMEOUTS, node=self.node_id)
-                    return
 
     def _apply_budget(
         self, role: TreeRole, payload: Dict[NodeAttributePair, Reading], period: int
@@ -296,7 +368,7 @@ class NodeAgent:
         policy = self.config.drop_policy
         if policy is DropPolicy.DROP:
             if self._budget < self.cost.message_cost(len(payload)) - _EPS:
-                self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
+                self._dropped_capacity.incr()
                 return None
             return payload
         affordable = int(self.cost.values_within_budget(self._budget) + _EPS)
@@ -305,7 +377,7 @@ class NodeAgent:
             if policy is DropPolicy.DEFER:
                 self._defer(role, payload)
             else:
-                self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY, node=self.node_id)
+                self._dropped_capacity.incr()
             return None
         if affordable >= len(payload):
             return payload
@@ -329,7 +401,7 @@ class NodeAgent:
                 last_sent[pair] = period
             self._defer(role, overflow)
         else:
-            self.metrics.incr(names.VALUES_TRIMMED, len(overflow), node=self.node_id)
+            self._values_trimmed.incr(len(overflow))
         return {pair: payload[pair] for pair in keep}
 
     def _defer(self, role: TreeRole, overflow: Dict[NodeAttributePair, Reading]) -> None:
@@ -339,4 +411,4 @@ class NodeAgent:
             existing = buffer.get(pair)
             if existing is None or reading.sampled_at >= existing.sampled_at:
                 buffer[pair] = reading
-        self.metrics.incr(names.VALUES_DEFERRED, len(overflow), node=self.node_id)
+        self._values_deferred.incr(len(overflow))

@@ -83,6 +83,13 @@ class CollectorAgent:
         self._last_heartbeat: Dict[NodeId, int] = {}
         self._failed: Set[NodeId] = set()
         self._tick_monotonic: Dict[int, float] = {}
+        # Hot series bound once (per message and per scored pair).
+        self._dropped_capacity = metrics.bind_counter(names.MESSAGES_DROPPED_CAPACITY)
+        self._delivered = metrics.bind_counter(names.MESSAGES_DELIVERED)
+        self._cost_spent = metrics.bind_counter(names.COST_UNITS_SPENT)
+        self._latency = metrics.bind_histogram(names.COLLECTION_LATENCY_S)
+        self._staleness = metrics.bind_histogram(names.STALENESS_PERIODS)
+        self._coverage = metrics.bind_histogram(names.PERIOD_COVERAGE)
 
     # ------------------------------------------------------------------
     async def run(self) -> None:
@@ -122,16 +129,16 @@ class CollectorAgent:
         charge = envelope.cost(self.cost)
         if self.config.enforce_capacity:
             if self._budget < charge - _EPS:
-                self.metrics.incr(names.MESSAGES_DROPPED_CAPACITY)
+                self._dropped_capacity.incr()
                 return
             self._budget -= charge
         for pair, reading in envelope.payload.items():
             self.state.record(pair, reading)
-        self.metrics.incr(names.MESSAGES_DELIVERED)
-        self.metrics.incr(names.COST_UNITS_SPENT, charge)
+        self._delivered.incr()
+        self._cost_spent.incr(charge)
         tick_at = self._tick_monotonic.get(envelope.period)
         if tick_at is not None:
-            self.metrics.observe(names.COLLECTION_LATENCY_S, time.monotonic() - tick_at)
+            self._latency.observe(time.monotonic() - tick_at)
 
     def _on_heartbeat(self, envelope: HeartbeatEnvelope) -> None:
         self._last_heartbeat[envelope.sender] = envelope.period
@@ -162,15 +169,14 @@ class CollectorAgent:
                 total_error = 0.0
                 fresh = 0
                 received = 0
+                staleness = self._staleness
                 for pair in pairs:
                     truth = self.registry.value(pair)
                     total_error += self.state.percentage_error(pair, truth)
                     reading = self.state.reading(pair)
                     if reading is not None:
                         received += 1
-                        self.metrics.observe(
-                            names.STALENESS_PERIODS, float(period) - reading.sampled_at
-                        )
+                        staleness.observe(float(period) - reading.sampled_at)
                         if reading.sampled_at >= float(period) - _EPS:
                             fresh += 1
                 sample = RuntimePeriodSample(
@@ -180,7 +186,7 @@ class CollectorAgent:
                     received_fraction=received / n,
                 )
             self.samples.append(sample)
-            self.metrics.observe(names.PERIOD_COVERAGE, sample.received_fraction)
+            self._coverage.observe(sample.received_fraction)
             score_span.set(
                 coverage=sample.received_fraction, mean_error=sample.mean_error
             )

@@ -8,10 +8,18 @@ one :class:`~repro.runtime.collector.CollectorAgent` -- wired over a
 periods in wall-clock time:
 
 1. advance the ground-truth metric registry (one unit of time);
-2. broadcast a :class:`~repro.runtime.messages.TickEnvelope`;
+2. broadcast a :class:`~repro.runtime.messages.TickEnvelope`, on which
+   every live agent starts exactly one task for its whole wave;
 3. sleep the period window while agents sample, batch, and relay;
 4. settle in-flight messages, then have the collector score the
-   period and run its failure detector.
+   period and run its failure detector;
+5. record the period's pacing: its overrun past ``period_seconds``
+   (``runtime_period_overrun_seconds``) and, when the settle found a
+   wave still outstanding, one ``runtime_periods_missed``.  Pacing is
+   reported, never corrected: a late period delays the next tick.
+
+Agents, collectors and the transport bind their metric series once at
+construction, so the per-message path bumps pre-bound handles.
 
 The same plan and :class:`~repro.cluster.metrics.MetricRegistry` seed
 produce matching collected-pair coverage in
@@ -225,6 +233,7 @@ class MonitoringRuntime:
         )
         try:
             for period in range(n_periods):
+                period_started = time.monotonic()
                 # One monitoring period is one trace: mint a fresh
                 # 128-bit trace id, root it at the period span, and
                 # stamp the context on the tick so every agent's wave
@@ -246,8 +255,11 @@ class MonitoringRuntime:
                         await self._broadcast(tick)
                         await asyncio.sleep(self.config.period_seconds)
                         with trace.span(names.SPAN_RUNTIME_SETTLE, lane=names.LANE_ENGINE, period=period):
-                            await self._settle()
+                            missed = await self._settle()
                         self._close_period(period)
+                self.metrics.record_pacing(
+                    time.monotonic() - period_started, self.config.period_seconds, missed
+                )
             await self._broadcast(StopEnvelope())
             await asyncio.wait(tasks, timeout=5.0)
         finally:
@@ -304,19 +316,25 @@ class MonitoringRuntime:
         for address in self.collectors:
             await self.transport.send(address, envelope)
 
-    async def _settle(self) -> None:
+    async def _settle(self) -> bool:
         """Let in-flight work finish before the period is scored.
 
         Yields to the event loop until every inbox is drained and no
-        agent has an outstanding send task, bounded by one extra period
+        agent has an outstanding wave task, bounded by one extra period
         of wall-clock grace.  This makes scoring independent of
         machine speed: on a loaded box the sleep may end while the
         bottom-up wave is still relaying, and settling here is what
         keeps the parity with the lock-step simulator tight.
+
+        Returns whether the period was missed: its window ended with a
+        wave still outstanding.
         """
         deadline = time.monotonic() + self.config.period_seconds
+        missed = False
         while time.monotonic() < deadline:
             busy = any(agent.busy() for agent in self.agents.values())
             if not busy and self.transport.idle():
-                return
+                return missed
+            missed = True
             await asyncio.sleep(0)
+        return True

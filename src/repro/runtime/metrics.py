@@ -7,7 +7,11 @@ into the final :class:`~repro.runtime.report.RuntimeReport`, and the
 CLI's ``--metrics`` flag exports the very same registry as a
 Prometheus snapshot, so the two can never disagree.
 
-Agents record with labels (``node=...``, ``tree=...``); the report
+Agents record with labels (``node=...``, ``tree=...``), binding each
+hot series once (:meth:`RuntimeMetrics.bind_counter` /
+:meth:`RuntimeMetrics.bind_histogram`) so the per-message path never
+rebuilds a label key; :meth:`RuntimeMetrics.incr` stays for cold
+paths and writes the same series.  The report
 reads label-collapsed totals so its machine-readable shape
 (:meth:`RuntimeMetrics.as_dict`, consumed by ``repro run --json`` and
 CI) stays compact and stable.  Rendering goes through
@@ -20,11 +24,12 @@ from __future__ import annotations
 from typing import Dict, Optional, Union
 
 from repro.analysis.report import format_table
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs import names
+from repro.obs.metrics import BoundCounter, Histogram, MetricsRegistry
 
 Number = Union[int, float]
 
-__all__ = ["Histogram", "Number", "RuntimeMetrics"]
+__all__ = ["BoundCounter", "Histogram", "Number", "RuntimeMetrics"]
 
 
 class RuntimeMetrics:
@@ -48,6 +53,22 @@ class RuntimeMetrics:
 
     def observe(self, name: str, value: float, **labels: object) -> None:
         self.registry.observe(name, value, **labels)
+
+    def record_pacing(self, elapsed: float, period_seconds: float, missed: bool) -> None:
+        """One period as its clock owner saw it: wall seconds from its
+        tick to the next beyond ``period_seconds`` (floored at 0), and
+        whether its window closed with a wave still outstanding."""
+        self.observe(
+            names.RUNTIME_PERIOD_OVERRUN_SECONDS, max(0.0, elapsed - period_seconds)
+        )
+        if missed:
+            self.incr(names.RUNTIME_PERIODS_MISSED)
+
+    def bind_counter(self, name: str, **labels: object) -> BoundCounter:
+        return self.registry.bind_counter(name, **labels)
+
+    def bind_histogram(self, name: str, **labels: object) -> Histogram:
+        return self.registry.bind_histogram(name, **labels)
 
     # -- reading -------------------------------------------------------
     def counter(self, name: str) -> float:

@@ -77,6 +77,17 @@ class RuntimeReport:
     def messages_sent(self) -> int:
         return int(self.metrics.counter(names.MESSAGES_SENT))
 
+    def pacing(self) -> Dict[str, float]:
+        """How the clock owner kept time: per-period overrun past
+        ``period_seconds`` (median and worst, seconds) and the number
+        of periods whose window closed with a wave still outstanding."""
+        overrun = self.metrics.histogram(names.RUNTIME_PERIOD_OVERRUN_SECONDS)
+        return {
+            "overrun_p50_s": overrun.quantile(0.5),
+            "overrun_max_s": overrun.max,
+            "missed": int(self.metrics.counter(names.RUNTIME_PERIODS_MISSED)),
+        }
+
     @property
     def messages_dropped(self) -> int:
         return int(
@@ -109,6 +120,7 @@ class RuntimeReport:
                 "deferred": int(self.metrics.counter(names.VALUES_DEFERRED)),
             },
             "cost_units_spent": self.metrics.counter(names.COST_UNITS_SPENT),
+            "pacing": self.pacing(),
             "failure_events": [
                 {"node": e.node, "period": e.period, "kind": e.kind}
                 for e in self.failure_events
@@ -143,6 +155,12 @@ class RuntimeReport:
             ["heartbeats", int(self.metrics.counter(names.HEARTBEATS_SENT))],
             ["failure events", len(self.failure_events)],
             ["wall seconds", round(self.wall_seconds, 3)],
+        ]
+        pacing = self.pacing()
+        rows += [
+            ["period overrun p50 (s)", round(pacing["overrun_p50_s"], 4)],
+            ["period overrun max (s)", round(pacing["overrun_max_s"], 4)],
+            ["periods missed", pacing["missed"]],
         ]
         blocks = [format_table(title, ["metric", "value"], rows)]
         if self.failure_events:

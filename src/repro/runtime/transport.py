@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 from repro.core.attributes import NodeId
 from repro.obs import names
 from repro.runtime.messages import Envelope
-from repro.runtime.metrics import RuntimeMetrics
+from repro.runtime.metrics import BoundCounter, RuntimeMetrics
 
 
 class UnknownAddressError(KeyError):
@@ -118,18 +118,33 @@ class MailboxTransport(Transport):
 
     def __init__(self, metrics: Optional[RuntimeMetrics] = None) -> None:
         self._queues: Dict[NodeId, "asyncio.Queue[Envelope]"] = {}
-        self._metrics: Optional[RuntimeMetrics] = metrics
+        self._metrics: Optional[RuntimeMetrics] = None
+        self._sent: Optional[BoundCounter] = None
+        self._delivered: Optional[BoundCounter] = None
+        if metrics is not None:
+            self._attach(metrics)
 
     # -- metrics -------------------------------------------------------
+    def _attach(self, metrics: RuntimeMetrics) -> None:
+        """Adopt ``metrics`` and bind this transport's per-envelope series."""
+        self._metrics = metrics
+        self._sent = metrics.bind_counter(
+            names.TRANSPORT_ENVELOPES_SENT, transport=self.transport_kind
+        )
+        self._delivered = metrics.bind_counter(
+            names.TRANSPORT_ENVELOPES_DELIVERED, transport=self.transport_kind
+        )
+
     def bind_metrics(self, metrics: RuntimeMetrics) -> None:
         if self._metrics is None:
-            self._metrics = metrics
+            self._attach(metrics)
 
     @property
     def metrics(self) -> RuntimeMetrics:
         """The bound metrics hub (a private one until bound)."""
         if self._metrics is None:
-            self._metrics = RuntimeMetrics()
+            self._attach(RuntimeMetrics())
+        assert self._metrics is not None
         return self._metrics
 
     @property
@@ -143,7 +158,10 @@ class MailboxTransport(Transport):
         return int(self.metrics.counter(names.TRANSPORT_ENVELOPES_DELIVERED))
 
     def _count_sent(self) -> None:
-        self.metrics.incr(names.TRANSPORT_ENVELOPES_SENT, transport=self.transport_kind)
+        if self._sent is None:
+            self._attach(RuntimeMetrics())
+        assert self._sent is not None
+        self._sent.incr()
 
     # -- inboxes -------------------------------------------------------
     def register(self, address: NodeId) -> None:
@@ -182,9 +200,10 @@ class MailboxTransport(Transport):
                         envelope = await queue.get()
                 except TimeoutError:
                     return None
-        self.metrics.incr(
-            names.TRANSPORT_ENVELOPES_DELIVERED, transport=self.transport_kind
-        )
+        if self._delivered is None:
+            self._attach(RuntimeMetrics())
+        assert self._delivered is not None
+        self._delivered.incr()
         return envelope
 
     def pending(self, address: NodeId) -> int:

@@ -7,10 +7,11 @@ at an instrumentation site is declared in ``repro/obs/names.py`` (the
 manifest the analysis context statically extracts -- parsed, never
 imported).
 
-- REMO431: metric-registry calls (``incr``/``observe``/``counter``/...)
-  must use a declared metric name;
-- REMO432: ``trace.span``/``trace.timer``/``trace.event`` must use a
-  declared span/event name;
+- REMO431: metric-registry calls (``incr``/``observe``/``counter``/...,
+  and the ``bind_counter``/``bind_histogram`` sites that pre-bind a
+  hot series) must use a declared metric name;
+- REMO432: ``trace.span``/``trace.timer``/``trace.begin``/
+  ``trace.event`` must use a declared span/event name;
 - REMO433: ``lane=`` must be a declared lane, a declared-prefix
   f-string, or a manifest lane helper (``names.node_lane(...)``);
 - REMO434: ``trace.span``/``trace.timer`` return context managers that
@@ -44,10 +45,12 @@ METRIC_CALL_NAMES = {
     "gauge",
     "histogram",
     "bump",
+    "bind_counter",
+    "bind_histogram",
 }
 
 #: ``trace.<attr>`` entry points whose first argument is a span name.
-TRACE_CALL_NAMES = {"span", "timer", "event"}
+TRACE_CALL_NAMES = {"span", "timer", "begin", "event"}
 
 #: The manifest itself declares the names; its own literals are exempt.
 MANIFEST_SUFFIX = "repro/obs/names.py"
@@ -58,7 +61,7 @@ def _is_manifest(module: ModuleUnderAnalysis) -> bool:
 
 
 def _is_trace_call(node: ast.Call) -> Optional[str]:
-    """``"span"``/``"timer"``/``"event"`` when ``node`` is a
+    """``"span"``/``"timer"``/``"begin"``/``"event"`` when ``node`` is a
     ``trace.<attr>(...)`` call, else ``None``."""
     func = node.func
     if (

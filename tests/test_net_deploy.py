@@ -187,6 +187,11 @@ class TestDeployEndToEnd:
         assert RUN_SCHEMA_KEYS <= set(merged)
         assert merged["periods"] == 6
         assert len(merged["per_period"]) == 6
+        # The collector process owns the clock: one pacing record per
+        # period reaches the merged report.
+        overrun = outcome.report.metrics.histogram(names.RUNTIME_PERIOD_OVERRUN_SECONDS)
+        assert overrun.count == 6
+        assert 0 <= merged["pacing"]["missed"] <= 6
 
         baseline = self._single_process_coverage(plan, cluster)
         assert outcome.report.mean_coverage == pytest.approx(

@@ -66,6 +66,7 @@ class TestRunJsonSchema:
             "messages",
             "values",
             "cost_units_spent",
+            "pacing",
             "failure_events",
             "per_period",
             "metrics",
@@ -82,6 +83,7 @@ class TestRunJsonSchema:
             "heartbeats",
         }
         assert set(payload["values"]) == {"trimmed", "deferred"}
+        assert set(payload["pacing"]) == {"overrun_p50_s", "overrun_max_s", "missed"}
         assert set(payload["plan"]) >= {
             "coverage",
             "collected_pairs",
@@ -107,6 +109,10 @@ class TestRunJsonSchema:
         assert isinstance(payload["wall_seconds"], float)
         for value in payload["messages"].values():
             assert isinstance(value, int)
+        pacing = payload["pacing"]
+        assert isinstance(pacing["missed"], int)
+        assert 0 <= pacing["missed"] <= payload["periods"]
+        assert 0.0 <= pacing["overrun_p50_s"] <= pacing["overrun_max_s"]
 
 
 class TestPrometheusReconciliation:
@@ -134,6 +140,9 @@ class TestPrometheusReconciliation:
         assert total("cost_units_spent") == pytest.approx(
             payload["cost_units_spent"]
         )
+        # One pacing record per period, from the clock owner.
+        assert samples["runtime_period_overrun_seconds_count"] == payload["periods"]
+        assert total("runtime_periods_missed") == payload["pacing"]["missed"]
 
 
 class TestTraceArtifact:

@@ -88,6 +88,35 @@ def test_clean_fixtures_pass_every_rule(code):
     assert result.findings == [], [d.format() for d in result.findings]
 
 
+def test_remo431_fires_at_bind_sites():
+    """A typo where a hot series is pre-bound forks a series exactly as
+    one at an ``incr`` site would."""
+    result = run_rule("REMO431", "remo431_bind_bad.py")
+    assert [d.code for d in result.findings] == ["REMO431", "REMO431"]
+    assert [d.line for d in result.findings] == [7, 8]
+
+
+def test_remo431_quiet_on_declared_bind_sites():
+    result = lint_paths([FIXTURES / "remo431_bind_ok.py"], root=REPO_ROOT)
+    assert result.findings == [], [d.format() for d in result.findings]
+
+
+def test_remo432_checks_detached_spans(tmp_path):
+    module = tmp_path / "detached.py"
+    module.write_text(
+        "from repro.obs import names, trace\n"
+        "\n"
+        "def wave():\n"
+        "    ok = trace.begin(names.SPAN_AGENT_WAVE)\n"
+        "    bad = trace.begin('agent.wavee')\n"
+        "    ok.end()\n"
+        "    bad.end()\n",
+        encoding="utf-8",
+    )
+    result = lint_paths([module], root=REPO_ROOT, codes=["REMO432"])
+    assert [(d.code, d.line) for d in result.findings] == [("REMO432", 5)]
+
+
 def test_syntax_error_reported_as_remo400(tmp_path):
     broken = tmp_path / "broken.py"
     broken.write_text("def broken(:\n", encoding="utf-8")
