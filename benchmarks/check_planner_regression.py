@@ -1,4 +1,4 @@
-"""Wall-clock regression gate against the committed planner baseline.
+"""Regression gates against the committed planner baseline.
 
 CI runners are slower (and noisier) than the machine that produced
 ``benchmarks/results/BENCH_planner.json``, so absolute seconds cannot
@@ -16,12 +16,19 @@ so the expected seconds at each size are read off the baseline's
 log-log curve (planning time is polynomial in N, which is a straight
 line in log space).
 
+``--fingerprints`` switches to the behaviour gate: every fresh row's
+plan fingerprint must equal the committed row of the same size, so a
+change that alters the default plan fails even when it is fast.  The
+fresh sizes must be committed baseline sizes (CI uses 50 and 100).
+
 Usage (what ``.github/workflows/ci.yml`` runs)::
 
     python benchmarks/bench_planner_scaling.py --sizes 80 400   # fresh run
     python benchmarks/check_planner_regression.py \
         --fresh benchmarks/results/BENCH_planner.json \
         --baseline <committed BENCH_planner.json> --low 80 --high 400
+    python benchmarks/check_planner_regression.py --fingerprints \
+        --fresh <fresh BENCH_planner.json> --baseline <committed one>
 """
 
 from __future__ import annotations
@@ -30,17 +37,43 @@ import argparse
 import json
 import math
 import sys
-from typing import Dict
+from typing import Any, Dict
 
 
-def load_rows(path: str) -> Dict[int, float]:
-    """``{nodes: elapsed_seconds}`` from a BENCH_planner.json payload."""
+def load_rows(path: str, field: str = "elapsed_seconds") -> Dict[int, Any]:
+    """``{nodes: row[field]}`` from a BENCH_planner.json payload."""
     with open(path) as fh:
         payload = json.load(fh)
-    rows = {int(r["nodes"]): float(r["elapsed_seconds"]) for r in payload["results"]}
+    rows = {int(r["nodes"]): r[field] for r in payload["results"]}
     if not rows:
         raise SystemExit(f"{path}: no bench rows")
     return rows
+
+
+def check_fingerprints(fresh_path: str, baseline_path: str) -> int:
+    """Exit status of the fingerprint gate: 0 when every fresh row's
+    plan matches the committed row of the same size, 1 otherwise."""
+    fresh = load_rows(fresh_path, "fingerprint")
+    base = load_rows(baseline_path, "fingerprint")
+    failures = 0
+    for size in sorted(fresh):
+        expected = base.get(size)
+        if expected is None:
+            verdict = "NO BASELINE ROW"
+        elif fresh[size] == expected:
+            verdict = "OK"
+        else:
+            verdict = f"CHANGED (committed {expected[:12]})"
+        failures += verdict != "OK"
+        print(f"plan fingerprint at {size} nodes: {fresh[size][:12]}: {verdict}")
+    if failures:
+        print(
+            "the default plan changed; a pure refactor or speed-up must keep "
+            "every committed fingerprint.",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
 
 
 def interp_elapsed(rows: Dict[int, float], n: int) -> float:
@@ -83,7 +116,15 @@ def main() -> int:
         default=1.5,
         help="fail when the fresh scaling ratio exceeds factor x baseline ratio",
     )
+    parser.add_argument(
+        "--fingerprints",
+        action="store_true",
+        help="gate plan fingerprints against the committed rows of the "
+        "same sizes instead of the scaling ratio",
+    )
     args = parser.parse_args()
+    if args.fingerprints:
+        return check_fingerprints(args.fresh, args.baseline)
 
     fresh = load_rows(args.fresh)
     for size in (args.low, args.high):

@@ -218,7 +218,6 @@ def _plan(args) -> int:
     if args.scheme == "remo":
         planner = RemoPlanner(
             cost,
-            parallelism=getattr(args, "parallelism", 1),
             beam_width=getattr(args, "beam_width", None),
             candidate_budget=None if getattr(args, "exhaustive", False) else 8,
         )
@@ -930,13 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(plan_p)
     _add_json(plan_p)
     _add_obs(plan_p)
-    plan_p.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        help="worker processes for candidate evaluation (remo scheme only; "
-        "results are identical to a serial run)",
-    )
     plan_p.add_argument(
         "--beam-width",
         type=int,

@@ -374,7 +374,13 @@ class AdaptiveMonitoringService:
             target = attr_to_set.get(pair.attribute)
             if target is not None and target in trees:
                 additions_by_set.setdefault(target, []).append(pair)
-        for attr_set, added in additions_by_set.items():
+        # Grafts share capacity, so their order shapes the plan: walk the
+        # sets in the partition's canonical order, never in the
+        # hash-seed-dependent order of the ``delta.added`` set.
+        for attr_set in partition.sets:
+            added = additions_by_set.get(attr_set)
+            if added is None:
+                continue
             tree = trees[attr_set].tree
             self._refresh_tree_capacity(tree, trees)
             by_node: Dict[NodeId, Dict[AttributeId, float]] = {}

@@ -9,7 +9,7 @@ runtime (see DESIGN.md, "Telemetry architecture"):
   :class:`~repro.core.planner.PlanningStats` are snapshots of it;
 - :mod:`repro.obs.trace` -- lightweight span tracing
   (``with trace.span("partition.merge_iteration", candidates=k):``)
-  with asyncio-task and forked-worker context propagation, plus
+  with asyncio-task context propagation, plus
   :class:`~repro.obs.trace.TraceContext` for cross-process trace
   identity (runtime envelopes, ``traceparent`` HTTP headers);
 - :mod:`repro.obs.log` -- structured JSONL events with lane/severity/

@@ -19,10 +19,6 @@ Context propagation:
 - **asyncio**: the current span lives in a ``contextvars.ContextVar``,
   which asyncio snapshots per task -- concurrent agent tasks each see
   their own span stack;
-- **forked planner workers**: a worker inherits the installed tracer
-  through ``fork``, records spans locally (attributed by candidate
-  rank), and ships them back to the parent alongside its results via
-  :func:`drain_local` / :func:`ingest`;
 - **across processes**: a :class:`TraceContext` (128-bit trace id plus
   the sender's span id) travels on runtime envelopes and in W3C
   ``traceparent`` HTTP headers.  :func:`attach` adopts a received
@@ -208,7 +204,8 @@ class Tracer:
         default_registry().incr(names.TRACE_SPANS_DROPPED, count)
 
     def ingest(self, spans: Iterable[Span]) -> None:
-        """Merge spans shipped back from a forked worker (cap applies)."""
+        """Merge spans recorded elsewhere, e.g. read back from another
+        process's span file (cap applies)."""
         room = self.max_spans - len(self._spans)
         incoming = list(spans)
         if len(incoming) > room:
@@ -220,10 +217,6 @@ class Tracer:
 
     def spans(self) -> List[Span]:
         return list(self._spans)
-
-    def drain(self) -> List[Span]:
-        drained, self._spans = self._spans, []
-        return drained
 
     def __len__(self) -> int:
         return len(self._spans)
@@ -457,16 +450,8 @@ def event(name: str, lane: Optional[str] = None, **attrs: object) -> None:
     )
 
 
-def drain_local() -> List[Span]:
-    """Drain the process-local tracer (forked workers ship these back)."""
-    tracer = _TRACER
-    if tracer is None:
-        return []
-    return tracer.drain()
-
-
 def ingest(spans: Iterable[Span]) -> None:
-    """Merge worker spans into the parent's tracer (no-op when disabled)."""
+    """Merge foreign spans into the installed tracer (no-op when disabled)."""
     tracer = _TRACER
     if tracer is not None:
         tracer.ingest(spans)

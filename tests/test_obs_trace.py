@@ -39,7 +39,7 @@ class TestDisabledPath:
     def test_event_and_ingest_are_noops(self):
         trace.event("nothing", k=1)
         trace.ingest([Span(name="s", start=0.0, duration=1.0)])
-        assert trace.drain_local() == []
+        assert trace.active_tracer() is None
 
 
 class TestRecording:
@@ -99,14 +99,12 @@ class TestRecording:
         assert by_name["a.mark"].parent_id == by_name["a"].span_id
         assert by_name["b.mark"].parent_id == by_name["b"].span_id
 
-    def test_worker_roundtrip_via_drain_and_ingest(self):
+    def test_ingest_merges_foreign_spans(self):
         with trace.installed() as tracer:
-            with trace.span("parent-side"):
+            with trace.span("local"):
                 pass
-            shipped = trace.drain_local()  # what a worker would send back
-            assert tracer.spans() == []
-            trace.ingest(shipped)
-            assert [s.name for s in tracer.spans()] == ["parent-side"]
+            trace.ingest([Span(name="foreign", start=0.0, duration=1.0)])
+        assert [s.name for s in tracer.spans()] == ["local", "foreign"]
 
 
 class TestJsonlRoundTrip:
@@ -230,14 +228,6 @@ class TestPrometheus:
 
 
 class TestTracerBasics:
-    def test_drain_empties(self):
-        tracer = Tracer()
-        tracer.record(Span(name="a", start=0.0, duration=1.0))
-        assert len(tracer) == 1
-        drained = tracer.drain()
-        assert [s.name for s in drained] == ["a"]
-        assert len(tracer) == 0
-
     def test_ids_are_unique(self):
         tracer = Tracer()
         assert tracer.next_id() != tracer.next_id()
